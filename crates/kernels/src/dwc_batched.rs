@@ -19,7 +19,7 @@ use npcgra_nn::{ConvKind, ConvLayer, Tensor, Word};
 
 use crate::act;
 use crate::dwc_s1::DwcS1Mapping;
-use crate::layout;
+use crate::layout::{self, BlockSlots};
 use crate::program::{BlockProgram, StorePort, TileMapping};
 use crate::pwc::MapError;
 use crate::tiling::BlockCfg;
@@ -189,13 +189,25 @@ impl DwcS1BatchedLayerMap {
         self.layer.in_channels().div_ceil(self.cb) * self.blocks_h * self.blocks_w
     }
 
+    /// Tiles of any one block: the channel index rides in the tile row, so
+    /// `cb·B_r × B_c`.
+    #[must_use]
+    pub fn block_tiles(&self) -> TilePos {
+        TilePos::first(self.cb * self.cfg.b_r, self.cfg.b_c)
+    }
+
+    /// Cycles of one tile (the single-channel stride-1 tile).
+    #[must_use]
+    pub fn tile_latency(&self) -> u64 {
+        DwcS1Mapping::new(self.layer.k(), &self.spec, 0)
+            .with_activation(self.layer.activation())
+            .tile_latency()
+    }
+
     /// Compute cycles per block: `cb` channels × tiles × tile latency.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        let tile = DwcS1Mapping::new(self.layer.k(), &self.spec, 0)
-            .with_activation(self.layer.activation())
-            .tile_latency();
-        (self.cb * self.cfg.b_r * self.cfg.b_c) as u64 * tile
+        self.block_tiles().tiles() as u64 * self.tile_latency()
     }
 
     /// Words DMA moves in per block.
@@ -214,6 +226,52 @@ impl DwcS1BatchedLayerMap {
         (self.cb * self.cfg.b_r * self.spec.rows * self.cfg.b_c * self.spec.cols) as u64
     }
 
+    /// Block `idx`'s origin: first channel of its group, first output row,
+    /// first output column.
+    fn block_origin(&self, idx: usize) -> (usize, usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let per_grp = self.blocks_h * self.blocks_w;
+        let rb = (idx % per_grp) / self.blocks_w;
+        let cb_idx = idx % self.blocks_w;
+        (
+            idx / per_grp * self.cb,
+            rb * self.cfg.b_r * self.spec.rows,
+            cb_idx * self.cfg.b_c * self.spec.cols,
+        )
+    }
+
+    /// The outputs block `idx` produces, in `ofm_slots` order — no data
+    /// needed. The last channel group may be short.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_slots(&self, idx: usize) -> BlockSlots {
+        let (ch0, r0, c0) = self.block_origin(idx);
+        layout::dwc_block_slots(
+            ch0..(ch0 + self.cb).min(self.layer.in_channels()),
+            r0,
+            c0,
+            self.cfg,
+            self.spec.rows,
+            self.spec.cols,
+            self.layer.out_h(),
+            self.layer.out_w(),
+        )
+    }
+
+    /// Block `idx`'s tag for error messages and traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_label(&self, idx: usize) -> String {
+        let (ch0, r0, c0) = self.block_origin(idx);
+        format!("{}[batched ch={ch0}+{},r={r0},c={c0}]", self.layer.name(), self.cb)
+    }
+
     /// Materialize block `idx` against the padded IFM and `(N_i, K, K)`
     /// weights.
     ///
@@ -222,16 +280,9 @@ impl DwcS1BatchedLayerMap {
     /// Panics if `idx >= num_blocks()`.
     #[must_use]
     pub fn materialize(&self, idx: usize, padded: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let per_grp = self.blocks_h * self.blocks_w;
-        let grp = idx / per_grp;
-        let rb = (idx % per_grp) / self.blocks_w;
-        let cb_idx = idx % self.blocks_w;
-        let r0 = rb * self.cfg.b_r * self.spec.rows;
-        let c0 = cb_idx * self.cfg.b_c * self.spec.cols;
+        let (ch0, r0, c0) = self.block_origin(idx);
         let k = self.layer.k();
-        let ch0 = grp * self.cb;
-        let channels: Vec<usize> = (ch0..(ch0 + self.cb).min(self.layer.in_channels())).collect();
+        let slots = self.block_slots(idx);
 
         // Concatenate per-channel images at the channel stride. The last
         // group may be short; its tail segments stay zero (their tiles run
@@ -239,8 +290,7 @@ impl DwcS1BatchedLayerMap {
         let mut h_banks = vec![vec![0 as Word; self.cb * self.h_stride]; self.spec.rows];
         let mut v_banks = vec![vec![0 as Word; self.cb * self.v_stride]; self.spec.cols];
         let mut weight_buffer = Vec::with_capacity(self.cb);
-        let mut ofm_slots = Vec::new();
-        for (slot, &ch) in channels.iter().enumerate() {
+        for (slot, ch) in slots.channels().enumerate() {
             let (h, addr_ofm) = layout::dwc_s1_h_image(padded, ch, r0, c0, self.cfg, self.spec.rows, self.spec.cols, k);
             debug_assert_eq!(addr_ofm, self.addr_ofm);
             for (bank, image) in h.into_iter().enumerate() {
@@ -257,21 +307,15 @@ impl DwcS1BatchedLayerMap {
                 kernel.push(c);
             }
             weight_buffer.push(kernel);
-            for mut s in layout::dwc_ofm_slots(
-                ch,
-                r0,
-                c0,
-                self.cfg,
-                self.spec.rows,
-                self.spec.cols,
-                self.layer.out_h(),
-                self.layer.out_w(),
-                self.addr_ofm,
-            ) {
-                s.offset += slot * self.h_stride;
-                ofm_slots.push(s);
-            }
         }
+        // Each channel's outputs rest in its own segment of the banks.
+        let ofm_slots = slots
+            .iter()
+            .map(|(c, y, x)| {
+                let seg = (c - ch0) * self.h_stride + self.addr_ofm;
+                layout::dwc_slot(c, y, x, r0, c0, self.cfg, self.spec.rows, self.spec.cols, seg)
+            })
+            .collect();
         // Pad the Weight Buffer for the short tail group (tiles of absent
         // channels still index a slot).
         while weight_buffer.len() < self.cb {
@@ -280,12 +324,12 @@ impl DwcS1BatchedLayerMap {
 
         let inner = DwcS1Mapping::new(k, &self.spec, self.addr_ofm).with_activation(self.layer.activation());
         BlockProgram {
-            label: format!("{}[batched ch={ch0}+{},r={r0},c={c0}]", self.layer.name(), self.cb),
+            label: self.block_label(idx),
             h_banks,
             v_banks,
             grf: Vec::new(),
             weight_buffer,
-            tiles: TilePos::first(self.cb * self.cfg.b_r, self.cfg.b_c),
+            tiles: self.block_tiles(),
             mapping: Box::new(BatchedDwcS1Mapping::new(inner, self.cfg.b_r, self.h_stride, self.v_stride)),
             ofm_slots,
             dma_in_words: self.block_input_words(),

@@ -11,7 +11,7 @@ use npcgra_arch::{CgraSpec, Instruction, MuxSel};
 use npcgra_nn::{Activation, ConvKind, ConvLayer, Tensor};
 
 use crate::act;
-use crate::layout;
+use crate::layout::{self, BlockSlots};
 use crate::program::{BlockProgram, StorePort, TileMapping};
 use crate::pwc::MapError;
 use crate::tiling::BlockCfg;
@@ -191,13 +191,24 @@ impl DwcGeneralLayerMap {
         self.layer.in_channels() * self.blocks_h * self.blocks_w
     }
 
+    /// Tiles of any one block.
+    #[must_use]
+    pub fn block_tiles(&self) -> TilePos {
+        TilePos::first(self.cfg.b_r, self.cfg.b_c)
+    }
+
+    /// Cycles of one tile.
+    #[must_use]
+    pub fn tile_latency(&self) -> u64 {
+        DwcGeneralMapping::new(self.layer.k(), self.layer.s(), &self.spec, 0)
+            .with_activation(self.layer.activation())
+            .tile_latency()
+    }
+
     /// Compute cycles of any one block.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        let tile = DwcGeneralMapping::new(self.layer.k(), self.layer.s(), &self.spec, 0)
-            .with_activation(self.layer.activation())
-            .tile_latency();
-        (self.cfg.b_r * self.cfg.b_c) as u64 * tile
+        self.block_tiles().tiles() as u64 * self.tile_latency()
     }
 
     /// Words DMA moves in per block (the IFM bank images + the kernel).
@@ -222,6 +233,51 @@ impl DwcGeneralLayerMap {
         self.block_output_words() * (self.layer.k() * self.layer.k()) as u64
     }
 
+    /// Block `idx`'s origin: channel, first output row, first output column.
+    fn block_origin(&self, idx: usize) -> (usize, usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let per_ch = self.blocks_h * self.blocks_w;
+        let rb = (idx % per_ch) / self.blocks_w;
+        let cb = idx % self.blocks_w;
+        (
+            idx / per_ch,
+            rb * self.cfg.b_r * self.spec.rows,
+            cb * self.cfg.b_c * self.spec.cols,
+        )
+    }
+
+    /// The outputs block `idx` produces, in `ofm_slots` order — no data
+    /// needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_slots(&self, idx: usize) -> BlockSlots {
+        let (ch, r0, c0) = self.block_origin(idx);
+        layout::dwc_block_slots(
+            ch..ch + 1,
+            r0,
+            c0,
+            self.cfg,
+            self.spec.rows,
+            self.spec.cols,
+            self.layer.out_h(),
+            self.layer.out_w(),
+        )
+    }
+
+    /// Block `idx`'s tag for error messages and traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_label(&self, idx: usize) -> String {
+        let (ch, r0, c0) = self.block_origin(idx);
+        format!("{}[ch={ch},r={r0},c={c0}]", self.layer.name())
+    }
+
     /// Materialize block `idx` against the *padded* IFM (see
     /// [`padded_ifm`]) and the `(N_i, K, K)` weight tensor.
     ///
@@ -230,13 +286,7 @@ impl DwcGeneralLayerMap {
     /// Panics if `idx >= num_blocks()`.
     #[must_use]
     pub fn materialize(&self, idx: usize, padded: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let per_ch = self.blocks_h * self.blocks_w;
-        let ch = idx / per_ch;
-        let rb = (idx % per_ch) / self.blocks_w;
-        let cb = idx % self.blocks_w;
-        let r0 = rb * self.cfg.b_r * self.spec.rows;
-        let c0 = cb * self.cfg.b_c * self.spec.cols;
+        let (ch, r0, c0) = self.block_origin(idx);
         let (h_banks, addr_ofm) = layout::dwc_general_h_image(
             padded,
             ch,
@@ -261,12 +311,12 @@ impl DwcGeneralLayerMap {
             addr_ofm,
         );
         BlockProgram {
-            label: format!("{}[ch={ch},r={r0},c={c0}]", self.layer.name()),
+            label: self.block_label(idx),
             h_banks,
             v_banks,
             grf: act::grf_constant(self.layer.activation()).map_or_else(Vec::new, |c| vec![c]),
             weight_buffer: Vec::new(),
-            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
+            tiles: self.block_tiles(),
             mapping: Box::new(
                 DwcGeneralMapping::new(self.layer.k(), self.layer.s(), &self.spec, addr_ofm)
                     .with_activation(self.layer.activation()),

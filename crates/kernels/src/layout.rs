@@ -4,12 +4,16 @@
 //! H-MEM / V-MEM for one block, laid out so the AGU algorithms (Algorithms
 //! 1–3) read exactly the right word every cycle with no bank conflicts. They
 //! also produce the [`OfmSlot`] map used to pull finished outputs back out
-//! of the H-MEM OFM region after the block completes.
+//! of the H-MEM OFM region after the block completes. That map is derived
+//! from the block's data-free [`BlockSlots`] geometry (which outputs, in
+//! which order) plus the mapping's store addressing.
 //!
 //! All IFM coordinates here are *padded-image* coordinates: convolution
 //! padding is materialized in external memory before blocking (the paper's
 //! layouts never special-case borders), and edge blocks that reach past the
 //! image read zeros and produce outputs that simply are not extracted.
+
+use std::ops::Range;
 
 use npcgra_nn::{Tensor, Word};
 
@@ -28,6 +32,184 @@ pub struct OfmSlot {
     pub y: usize,
     /// Output column.
     pub x: usize,
+}
+
+/// A rectangle of output pixels: rows `y0..y1` × columns `x0..x1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PixelRect {
+    /// First row.
+    pub y0: usize,
+    /// One past the last row.
+    pub y1: usize,
+    /// First column.
+    pub x0: usize,
+    /// One past the last column.
+    pub x1: usize,
+}
+
+impl PixelRect {
+    /// Pixels in the rectangle (0 when either side is empty).
+    #[must_use]
+    pub fn area(&self) -> usize {
+        self.y1.saturating_sub(self.y0) * self.x1.saturating_sub(self.x0)
+    }
+}
+
+/// The order a block lists its output slots in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotOrder {
+    /// Channel by channel, each channel's pixels row-major (the DWC
+    /// mappings).
+    ChannelMajor,
+    /// Pixel by pixel in row-major order, each pixel's channels ascending
+    /// (the PWC mapping).
+    PixelMajor,
+}
+
+/// The outputs one block produces, without any data: output channels
+/// `c0..c1` × a pixel region of at most three disjoint rectangles, listed
+/// in [`SlotOrder`]. Rectangles come in row-major order, so walking them
+/// row by row visits pixels in ascending `y·W + x` order.
+///
+/// This is plain arithmetic of the block's origin and the layer shape, so
+/// it costs nothing to build and nothing to keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockSlots {
+    c0: usize,
+    c1: usize,
+    rects: [PixelRect; 3],
+    n_rects: usize,
+    order: SlotOrder,
+}
+
+impl BlockSlots {
+    /// Channels `channels` × one rectangle.
+    #[must_use]
+    pub fn rect(channels: Range<usize>, rect: PixelRect, order: SlotOrder) -> Self {
+        let mut slots = BlockSlots {
+            c0: channels.start,
+            c1: channels.end.max(channels.start),
+            rects: [PixelRect::default(); 3],
+            n_rects: 0,
+            order,
+        };
+        slots.push(rect);
+        slots
+    }
+
+    /// Channel `c` × the flat pixel indices `p0..p1` (`p = y·w + x`) of a
+    /// `w`-wide plane, channel-major. The range splits into a partial first
+    /// row, whole middle rows and a partial last row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is zero.
+    #[must_use]
+    pub fn flat(c: usize, pixels: Range<usize>, w: usize) -> Self {
+        assert!(w > 0, "plane width must be nonzero");
+        let mut slots = BlockSlots::rect(c..c + 1, PixelRect::default(), SlotOrder::ChannelMajor);
+        if pixels.is_empty() {
+            return slots;
+        }
+        let rect = |y0, y1, x0, x1| PixelRect { y0, y1, x0, x1 };
+        let (ya, xa) = (pixels.start / w, pixels.start % w);
+        let (yb, xb) = (pixels.end / w, pixels.end % w);
+        if ya == yb {
+            slots.push(rect(ya, ya + 1, xa, xb));
+        } else {
+            let full_from = if xa == 0 {
+                ya
+            } else {
+                slots.push(rect(ya, ya + 1, xa, w));
+                ya + 1
+            };
+            slots.push(rect(full_from, yb, 0, w));
+            slots.push(rect(yb, yb + 1, 0, xb));
+        }
+        slots
+    }
+
+    fn push(&mut self, rect: PixelRect) {
+        if rect.area() > 0 {
+            self.rects[self.n_rects] = rect;
+            self.n_rects += 1;
+        }
+    }
+
+    /// The output channels.
+    #[must_use]
+    pub fn channels(&self) -> Range<usize> {
+        self.c0..self.c1
+    }
+
+    /// The pixel rectangles, in row-major order.
+    #[must_use]
+    pub fn rects(&self) -> &[PixelRect] {
+        &self.rects[..self.n_rects]
+    }
+
+    /// Pixels per channel.
+    #[must_use]
+    pub fn pixels(&self) -> usize {
+        self.rects().iter().map(PixelRect::area).sum()
+    }
+
+    /// Output words in the block.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        (self.c1 - self.c0) * self.pixels()
+    }
+
+    /// Whether the block produces no output.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `(c, y, x)` of slot `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[must_use]
+    pub fn slot(&self, i: usize) -> (usize, usize, usize) {
+        assert!(i < self.len(), "slot {i} out of range");
+        let (c, mut p) = match self.order {
+            SlotOrder::ChannelMajor => (self.c0 + i / self.pixels(), i % self.pixels()),
+            SlotOrder::PixelMajor => {
+                let n_c = self.c1 - self.c0;
+                (self.c0 + i % n_c, i / n_c)
+            }
+        };
+        for r in self.rects() {
+            if p < r.area() {
+                let w = r.x1 - r.x0;
+                return (c, r.y0 + p / w, r.x0 + p % w);
+            }
+            p -= r.area();
+        }
+        unreachable!("slot index checked against len")
+    }
+
+    /// Every slot's `(c, y, x)`, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let pixels = move || {
+            self.rects()
+                .iter()
+                .flat_map(|r| (r.y0..r.y1).flat_map(move |y| (r.x0..r.x1).map(move |x| (y, x))))
+        };
+        let (by_channel, by_pixel) = match self.order {
+            SlotOrder::ChannelMajor => (
+                Some(self.channels().flat_map(move |c| pixels().map(move |(y, x)| (c, y, x)))),
+                None,
+            ),
+            SlotOrder::PixelMajor => (
+                None,
+                Some(pixels().flat_map(move |(y, x)| self.channels().map(move |c| (c, y, x)))),
+            ),
+        };
+        by_channel.into_iter().flatten().chain(by_pixel.into_iter().flatten())
+    }
 }
 
 fn get_or_zero(t: &Tensor, c: usize, y: usize, x: usize) -> Word {
@@ -88,7 +270,33 @@ pub fn pwc_v_image(weights: &Tensor, o0: usize, cfg: BlockCfg, nc: usize) -> Vec
         .collect()
 }
 
-/// OFM extraction map for a PWC block (skips padding pixels/channels).
+/// The outputs of the PWC block covering pixels `p0..p0+B_r·N_r` of image
+/// row `y` and output channels `o0..o0+B_c·N_c`, clipped to the layer
+/// (`n_w` pixels, `n_o` channels), pixel-major.
+#[must_use]
+#[allow(clippy::too_many_arguments)] // geometry parameters mirror the AGU fields
+pub(crate) fn pwc_block_slots(
+    y: usize,
+    p0: usize,
+    o0: usize,
+    cfg: BlockCfg,
+    nr: usize,
+    nc: usize,
+    n_w: usize,
+    n_o: usize,
+) -> BlockSlots {
+    let rect = PixelRect {
+        y0: y,
+        y1: y + 1,
+        x0: p0,
+        x1: (p0 + cfg.b_r * nr).min(n_w),
+    };
+    BlockSlots::rect(o0..(o0 + cfg.b_c * nc).min(n_o), rect, SlotOrder::PixelMajor)
+}
+
+/// OFM extraction map for a PWC block (skips padding pixels/channels):
+/// pixel `p0 + tid_r·N_r + r` × channel `o0 + tid_c·N_c + j` rests in bank
+/// `r` at `addr_ofm + tid_r·N_c·B_c + tid_c·N_c + j`.
 #[must_use]
 #[allow(clippy::too_many_arguments)] // geometry parameters mirror the AGU fields
 pub fn pwc_ofm_slots(
@@ -102,31 +310,19 @@ pub fn pwc_ofm_slots(
     n_o: usize,
     addr_ofm: usize,
 ) -> Vec<OfmSlot> {
-    let mut slots = Vec::new();
-    for tid_r in 0..cfg.b_r {
-        for r in 0..nr {
-            let p = p0 + tid_r * nr + r;
-            if p >= n_w {
-                continue;
+    pwc_block_slots(y, p0, o0, cfg, nr, nc, n_w, n_o)
+        .iter()
+        .map(|(c, y, x)| {
+            let q = x - p0;
+            OfmSlot {
+                bank: q % nr,
+                offset: addr_ofm + q / nr * nc * cfg.b_c + (c - o0),
+                c,
+                y,
+                x,
             }
-            for tid_c in 0..cfg.b_c {
-                for j in 0..nc {
-                    let oc = o0 + tid_c * nc + j;
-                    if oc >= n_o {
-                        continue;
-                    }
-                    slots.push(OfmSlot {
-                        bank: r,
-                        offset: addr_ofm + tid_r * nc * cfg.b_c + tid_c * nc + j,
-                        c: oc,
-                        y,
-                        x: p,
-                    });
-                }
-            }
-        }
-    }
-    slots
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -178,9 +374,59 @@ pub fn dwc_v_image(weights: &Tensor, ch: usize, k: usize, nc: usize) -> Vec<Vec<
     vec![kernel; nc]
 }
 
+/// The outputs of the DWC block whose output origin is `(r0, c0)`, for
+/// `channels` (one channel, or a channel-batched group), clipped to the
+/// `n_h × n_w` output plane, channel-major.
+#[must_use]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dwc_block_slots(
+    channels: Range<usize>,
+    r0: usize,
+    c0: usize,
+    cfg: BlockCfg,
+    nr: usize,
+    nc: usize,
+    n_h: usize,
+    n_w: usize,
+) -> BlockSlots {
+    let rect = PixelRect {
+        y0: r0,
+        y1: (r0 + cfg.b_r * nr).min(n_h),
+        x0: c0,
+        x1: (c0 + cfg.b_c * nc).min(n_w),
+    };
+    BlockSlots::rect(channels, rect, SlotOrder::ChannelMajor)
+}
+
+/// Where DWC output `(c, y, x)` of the block with origin `(r0, c0)` rests
+/// (see [`dwc_ofm_slots`]).
+#[must_use]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dwc_slot(
+    c: usize,
+    y: usize,
+    x: usize,
+    r0: usize,
+    c0: usize,
+    cfg: BlockCfg,
+    nr: usize,
+    nc: usize,
+    addr_ofm: usize,
+) -> OfmSlot {
+    let (dy, dx) = (y - r0, x - c0);
+    OfmSlot {
+        bank: dy % nr,
+        offset: addr_ofm + dy / nr * nc * cfg.b_c + dx,
+        c,
+        y,
+        x,
+    }
+}
+
 /// OFM extraction map shared by both DWC mappings (they use the same store
-/// layout): output `(r0 + tid_r·N_r + r, c0 + tid_c·N_c + j)` of channel
-/// `ch` rests in bank `r` at `addr_ofm + tid_r·N_c·B_c + tid_c·N_c + j`.
+/// layout) for one channel `ch`: output `(r0 + tid_r·N_r + r, c0 +
+/// tid_c·N_c + j)` rests in bank `r` at `addr_ofm + tid_r·N_c·B_c +
+/// tid_c·N_c + j`.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn dwc_ofm_slots(
@@ -194,31 +440,10 @@ pub fn dwc_ofm_slots(
     n_w: usize,
     addr_ofm: usize,
 ) -> Vec<OfmSlot> {
-    let mut slots = Vec::new();
-    for tid_r in 0..cfg.b_r {
-        for r in 0..nr {
-            let oy = r0 + tid_r * nr + r;
-            if oy >= n_h {
-                continue;
-            }
-            for tid_c in 0..cfg.b_c {
-                for j in 0..nc {
-                    let ox = c0 + tid_c * nc + j;
-                    if ox >= n_w {
-                        continue;
-                    }
-                    slots.push(OfmSlot {
-                        bank: r,
-                        offset: addr_ofm + tid_r * nc * cfg.b_c + tid_c * nc + j,
-                        c: ch,
-                        y: oy,
-                        x: ox,
-                    });
-                }
-            }
-        }
-    }
-    slots
+    dwc_block_slots(ch..ch + 1, r0, c0, cfg, nr, nc, n_h, n_w)
+        .iter()
+        .map(|(c, y, x)| dwc_slot(c, y, x, r0, c0, cfg, nr, nc, addr_ofm))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -425,6 +650,53 @@ mod tests {
         let s = slots.iter().find(|s| s.y == 3 && s.x == 2).unwrap();
         // tid_r=1, r=1, tid_c=1, j=0 → bank 1, offset 50 + 1·2·2 + 1·2.
         assert_eq!((s.bank, s.offset, s.c), (1, 50 + 4 + 2, 3));
+    }
+
+    #[test]
+    fn flat_pixel_ranges_split_into_row_major_rects() {
+        // Pixels 3..14 of a 5-wide plane: the tail of row 0, row 1, and
+        // the head of row 2 — in ascending flat order.
+        let slots = BlockSlots::flat(2, 3..14, 5);
+        assert_eq!(slots.rects().len(), 3);
+        assert_eq!(slots.len(), 11);
+        for w in 1..6 {
+            for p0 in 0..12 {
+                for p1 in p0..20 {
+                    let flat: Vec<usize> = BlockSlots::flat(0, p0..p1, w).iter().map(|(_, y, x)| y * w + x).collect();
+                    assert_eq!(flat, (p0..p1).collect::<Vec<_>>(), "{p0}..{p1} of a {w}-wide plane");
+                }
+            }
+        }
+        let flat: Vec<usize> = slots
+            .iter()
+            .map(|(c, y, x)| {
+                assert_eq!(c, 2);
+                y * 5 + x
+            })
+            .collect();
+        assert_eq!(flat, (3..14).collect::<Vec<_>>());
+        // Whole rows collapse to one rectangle; an empty range to none.
+        assert_eq!(BlockSlots::flat(0, 5..15, 5).rects().len(), 1);
+        assert!(BlockSlots::flat(0, 4..4, 5).is_empty());
+    }
+
+    #[test]
+    fn pixel_major_slots_list_channels_innermost() {
+        let rect = PixelRect {
+            y0: 1,
+            y1: 2,
+            x0: 3,
+            x1: 5,
+        };
+        let slots = BlockSlots::rect(6..9, rect, SlotOrder::PixelMajor);
+        assert_eq!(slots.len(), 6);
+        assert_eq!(slots.slot(0), (6, 1, 3));
+        assert_eq!(slots.slot(2), (8, 1, 3));
+        assert_eq!(slots.slot(3), (6, 1, 4));
+        for slots in [slots, BlockSlots::flat(1, 3..14, 5)] {
+            let indexed: Vec<_> = (0..slots.len()).map(|i| slots.slot(i)).collect();
+            assert_eq!(slots.iter().collect::<Vec<_>>(), indexed);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use npcgra_arch::{CgraSpec, Instruction, MuxSel};
 use npcgra_nn::{Activation, ConvKind, ConvLayer, Tensor, Word};
 
 use crate::act;
-use crate::layout::OfmSlot;
+use crate::layout::{BlockSlots, OfmSlot};
 use crate::program::{BlockProgram, StorePort, TileMapping};
 use crate::pwc::MapError;
 use crate::tiling::BlockCfg;
@@ -167,16 +167,27 @@ impl MatmulDwcLayerMap {
     /// Tiles per block.
     #[must_use]
     pub fn tiles_per_block(&self) -> usize {
-        self.b_r
+        self.block_tiles().tiles()
+    }
+
+    /// Tiles of any one block (`B_r × 1`).
+    #[must_use]
+    pub fn block_tiles(&self) -> TilePos {
+        TilePos::first(self.b_r, 1)
+    }
+
+    /// Cycles of one tile.
+    #[must_use]
+    pub fn tile_latency(&self) -> u64 {
+        MatmulDwcMapping::new(self.layer.k(), &self.spec, 0)
+            .with_activation(self.layer.activation())
+            .tile_latency()
     }
 
     /// Compute cycles of any one block.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        self.b_r as u64
-            * MatmulDwcMapping::new(self.layer.k(), &self.spec, 0)
-                .with_activation(self.layer.activation())
-                .tile_latency()
+        self.block_tiles().tiles() as u64 * self.tile_latency()
     }
 
     /// Words DMA moves in per block (im2col rows + the kernel column).
@@ -198,6 +209,36 @@ impl MatmulDwcLayerMap {
         (self.b_r * self.spec.rows * self.layer.k() * self.layer.k()) as u64
     }
 
+    /// Block `idx`'s origin: channel and first flat output pixel.
+    fn block_origin(&self, idx: usize) -> (usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        (idx / self.blocks_p, idx % self.blocks_p * self.b_r * self.spec.rows)
+    }
+
+    /// The outputs block `idx` produces, in `ofm_slots` order — no data
+    /// needed: one channel × a run of flat pixels `y·N_w + x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_slots(&self, idx: usize) -> BlockSlots {
+        let (ch, p0) = self.block_origin(idx);
+        let (oh, ow) = (self.layer.out_h(), self.layer.out_w());
+        BlockSlots::flat(ch, p0..(p0 + self.b_r * self.spec.rows).min(oh * ow), ow)
+    }
+
+    /// Block `idx`'s tag for error messages and traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_label(&self, idx: usize) -> String {
+        let (ch, p0) = self.block_origin(idx);
+        format!("{}[matmul ch={ch},p={p0}]", self.layer.name())
+    }
+
     /// Materialize block `idx` against the *padded* IFM and `(N_i, K, K)`
     /// weights. The im2col rows are generated in place (the host-side
     /// im2col the paper leaves unaccounted for in Table 5).
@@ -207,10 +248,7 @@ impl MatmulDwcLayerMap {
     /// Panics if `idx >= num_blocks()`.
     #[must_use]
     pub fn materialize(&self, idx: usize, padded: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let ch = idx / self.blocks_p;
-        let p_blk = idx % self.blocks_p;
-        let p0 = p_blk * self.b_r * self.spec.rows;
+        let (ch, p0) = self.block_origin(idx);
         let k = self.layer.k();
         let s = self.layer.s();
         let kk = k * k;
@@ -247,31 +285,30 @@ impl MatmulDwcLayerMap {
         let mut v_banks = vec![Vec::new(); nc];
         v_banks[0] = (0..kk).map(|tap| weights.get(ch, tap / k, tap % k)).collect();
 
-        // Only column 0 of each tile is a real output.
-        let mut ofm_slots = Vec::new();
-        for g in 0..self.b_r {
-            for r in 0..nr {
-                let p = p0 + g * nr + r;
-                if p >= pixels {
-                    continue;
+        // Only column 0 of each tile is a real output: pixel p0 + g·N_r + r
+        // rests in bank r at addr_ofm + g·N_c.
+        let ofm_slots = self
+            .block_slots(idx)
+            .iter()
+            .map(|(c, y, x)| {
+                let q = y * ow + x - p0;
+                OfmSlot {
+                    bank: q % nr,
+                    offset: addr_ofm + q / nr * nc,
+                    c,
+                    y,
+                    x,
                 }
-                ofm_slots.push(OfmSlot {
-                    bank: r,
-                    offset: addr_ofm + g * nc,
-                    c: ch,
-                    y: p / ow,
-                    x: p % ow,
-                });
-            }
-        }
+            })
+            .collect();
 
         BlockProgram {
-            label: format!("{}[matmul ch={ch},p={p0}]", self.layer.name()),
+            label: self.block_label(idx),
             h_banks,
             v_banks,
             grf: act::grf_constant(self.layer.activation()).map_or_else(Vec::new, |c| vec![c]),
             weight_buffer: Vec::new(),
-            tiles: TilePos::first(self.b_r, 1),
+            tiles: self.block_tiles(),
             mapping: Box::new(MatmulDwcMapping::new(k, &self.spec, addr_ofm).with_activation(self.layer.activation())),
             ofm_slots,
             dma_in_words: self.block_input_words(),

@@ -12,7 +12,7 @@ use npcgra_arch::{CgraSpec, Instruction, MuxSel};
 use npcgra_nn::{Activation, ConvKind, ConvLayer, Tensor};
 
 use crate::act;
-use crate::layout;
+use crate::layout::{self, BlockSlots};
 use crate::program::{BlockProgram, StorePort, TileMapping};
 use crate::tiling::BlockCfg;
 
@@ -213,13 +213,24 @@ impl PwcLayerMap {
         self.layer.out_h() * self.blocks_p * self.blocks_o
     }
 
+    /// Tiles of any one block (they are uniform).
+    #[must_use]
+    pub fn block_tiles(&self) -> TilePos {
+        TilePos::first(self.cfg.b_r, self.cfg.b_c)
+    }
+
+    /// Cycles of one tile.
+    #[must_use]
+    pub fn tile_latency(&self) -> u64 {
+        PwcMapping::new(self.layer.in_channels(), &self.spec, self.addr_ofm)
+            .with_activation(self.layer.activation())
+            .tile_latency()
+    }
+
     /// Compute cycles of any one block (they are uniform).
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        let tile = PwcMapping::new(self.layer.in_channels(), &self.spec, self.addr_ofm)
-            .with_activation(self.layer.activation())
-            .tile_latency();
-        (self.cfg.b_r * self.cfg.b_c) as u64 * tile
+        self.block_tiles().tiles() as u64 * self.tile_latency()
     }
 
     /// Words DMA moves in per block (IFM pixels + weights).
@@ -242,6 +253,51 @@ impl PwcLayerMap {
         (self.cfg.b_r * self.spec.rows * self.cfg.b_c * self.spec.cols) as u64 * self.layer.in_channels() as u64
     }
 
+    /// Block `idx`'s origin: image row, first pixel, first output channel.
+    fn block_origin(&self, idx: usize) -> (usize, usize, usize) {
+        assert!(idx < self.num_blocks(), "block {idx} out of range");
+        let per_row = self.blocks_p * self.blocks_o;
+        let p_blk = (idx % per_row) / self.blocks_o;
+        let o_blk = idx % self.blocks_o;
+        (
+            idx / per_row,
+            p_blk * self.cfg.b_r * self.spec.rows,
+            o_blk * self.cfg.b_c * self.spec.cols,
+        )
+    }
+
+    /// The outputs block `idx` produces, in `ofm_slots` order — no data
+    /// needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_slots(&self, idx: usize) -> BlockSlots {
+        let (y, p0, o0) = self.block_origin(idx);
+        layout::pwc_block_slots(
+            y,
+            p0,
+            o0,
+            self.cfg,
+            self.spec.rows,
+            self.spec.cols,
+            self.layer.out_w(),
+            self.layer.out_channels(),
+        )
+    }
+
+    /// Block `idx`'s tag for error messages and traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= num_blocks()`.
+    #[must_use]
+    pub fn block_label(&self, idx: usize) -> String {
+        let (y, p0, o0) = self.block_origin(idx);
+        format!("{}[y={y},p={p0},o={o0}]", self.layer.name())
+    }
+
     /// Materialize block `idx` against real data.
     ///
     /// # Panics
@@ -249,13 +305,7 @@ impl PwcLayerMap {
     /// Panics if `idx >= num_blocks()` or tensor shapes mismatch the layer.
     #[must_use]
     pub fn materialize(&self, idx: usize, ifm: &Tensor, weights: &Tensor) -> BlockProgram {
-        assert!(idx < self.num_blocks(), "block {idx} out of range");
-        let per_row = self.blocks_p * self.blocks_o;
-        let y = idx / per_row;
-        let p_blk = (idx % per_row) / self.blocks_o;
-        let o_blk = idx % self.blocks_o;
-        let p0 = p_blk * self.cfg.b_r * self.spec.rows;
-        let o0 = o_blk * self.cfg.b_c * self.spec.cols;
+        let (y, p0, o0) = self.block_origin(idx);
         let (h_banks, addr_ofm) = layout::pwc_h_image(ifm, y, p0, self.cfg, self.spec.rows, self.spec.cols);
         let v_banks = layout::pwc_v_image(weights, o0, self.cfg, self.spec.cols);
         let ofm_slots = layout::pwc_ofm_slots(
@@ -270,12 +320,12 @@ impl PwcLayerMap {
             addr_ofm,
         );
         BlockProgram {
-            label: format!("{}[y={y},p={p0},o={o0}]", self.layer.name()),
+            label: self.block_label(idx),
             h_banks,
             v_banks,
             grf: crate::act::grf_constant(self.layer.activation()).map_or_else(Vec::new, |c| vec![c]),
             weight_buffer: Vec::new(),
-            tiles: TilePos::first(self.cfg.b_r, self.cfg.b_c),
+            tiles: self.block_tiles(),
             mapping: Box::new(
                 PwcMapping::new(self.layer.in_channels(), &self.spec, addr_ofm).with_activation(self.layer.activation()),
             ),

@@ -17,6 +17,7 @@ use npcgra_arch::CgraSpec;
 use npcgra_kernels::dwc_batched::DwcS1BatchedLayerMap;
 use npcgra_kernels::dwc_general::{padded_ifm, DwcGeneralLayerMap};
 use npcgra_kernels::dwc_s1::DwcS1LayerMap;
+use npcgra_kernels::layout::BlockSlots;
 use npcgra_kernels::matmul_dwc::MatmulDwcLayerMap;
 use npcgra_kernels::pwc::{MapError, PwcLayerMap};
 use npcgra_kernels::BlockProgram;
@@ -25,7 +26,7 @@ use npcgra_mem::DmaEngine;
 use npcgra_nn::{ConvKind, ConvLayer, Tensor};
 
 use crate::error::{SimCause, SimError};
-use crate::integrity::{self, IntegrityMode};
+use crate::integrity::{BlockVerifier, IntegrityMode};
 use crate::layer::MappingKind;
 use crate::machine::Machine;
 use crate::report::LayerReport;
@@ -63,6 +64,20 @@ pub struct CompiledLayer {
     layer: ConvLayer,
     spec: CgraSpec,
     map: MapImpl,
+}
+
+/// Evaluate `$body` with `$m` bound to whichever layer map `$self` holds
+/// (every map exposes the same block-level methods).
+macro_rules! with_map {
+    ($self:expr, $m:ident => $body:expr) => {
+        match &$self.map {
+            MapImpl::Pwc($m) => $body,
+            MapImpl::DwcS1($m) => $body,
+            MapImpl::DwcGeneral($m) => $body,
+            MapImpl::MatmulDwc($m) => $body,
+            MapImpl::BatchedDwcS1($m) => $body,
+        }
+    };
 }
 
 fn map_err(layer: &ConvLayer, e: MapError) -> SimError {
@@ -138,49 +153,61 @@ impl CompiledLayer {
     /// Number of blocks the layer tiles into.
     #[must_use]
     pub fn num_blocks(&self) -> usize {
-        match &self.map {
-            MapImpl::Pwc(m) => m.num_blocks(),
-            MapImpl::DwcS1(m) => m.num_blocks(),
-            MapImpl::DwcGeneral(m) => m.num_blocks(),
-            MapImpl::MatmulDwc(m) => m.num_blocks(),
-            MapImpl::BatchedDwcS1(m) => m.num_blocks(),
-        }
+        with_map!(self, m => m.num_blocks())
     }
 
     /// Array-compute cycles per block.
     #[must_use]
     pub fn block_compute_cycles(&self) -> u64 {
-        match &self.map {
-            MapImpl::Pwc(m) => m.block_compute_cycles(),
-            MapImpl::DwcS1(m) => m.block_compute_cycles(),
-            MapImpl::DwcGeneral(m) => m.block_compute_cycles(),
-            MapImpl::MatmulDwc(m) => m.block_compute_cycles(),
-            MapImpl::BatchedDwcS1(m) => m.block_compute_cycles(),
-        }
+        with_map!(self, m => m.block_compute_cycles())
+    }
+
+    /// Tiles per block (uniform across blocks).
+    #[must_use]
+    pub fn tiles_per_block(&self) -> usize {
+        with_map!(self, m => m.block_tiles().tiles())
+    }
+
+    /// Cycles of one tile: `block_compute_cycles = tiles_per_block ×
+    /// tile_latency`.
+    #[must_use]
+    pub fn tile_latency(&self) -> u64 {
+        with_map!(self, m => m.tile_latency())
+    }
+
+    /// The outputs block `i` produces, in the order its materialized
+    /// `ofm_slots` list them — derived from the block's origin alone, no
+    /// data and no per-program table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_blocks()`.
+    #[must_use]
+    pub fn block_slots(&self, i: usize) -> BlockSlots {
+        with_map!(self, m => m.block_slots(i))
+    }
+
+    /// Block `i`'s tag for error messages and traces (the materialized
+    /// program's `label`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_blocks()`.
+    #[must_use]
+    pub fn block_label(&self, i: usize) -> String {
+        with_map!(self, m => m.block_label(i))
     }
 
     /// Words DMA moves into local memory per block.
     #[must_use]
     pub fn block_input_words(&self) -> u64 {
-        match &self.map {
-            MapImpl::Pwc(m) => m.block_input_words(),
-            MapImpl::DwcS1(m) => m.block_input_words(),
-            MapImpl::DwcGeneral(m) => m.block_input_words(),
-            MapImpl::MatmulDwc(m) => m.block_input_words(),
-            MapImpl::BatchedDwcS1(m) => m.block_input_words(),
-        }
+        with_map!(self, m => m.block_input_words())
     }
 
     /// Words DMA moves out per block.
     #[must_use]
     pub fn block_output_words(&self) -> u64 {
-        match &self.map {
-            MapImpl::Pwc(m) => m.block_output_words(),
-            MapImpl::DwcS1(m) => m.block_output_words(),
-            MapImpl::DwcGeneral(m) => m.block_output_words(),
-            MapImpl::MatmulDwc(m) => m.block_output_words(),
-            MapImpl::BatchedDwcS1(m) => m.block_output_words(),
-        }
+        with_map!(self, m => m.block_output_words())
     }
 
     /// Prepare an input for [`CompiledLayer::materialize`]: depthwise
@@ -197,13 +224,7 @@ impl CompiledLayer {
     /// Materialize block `i` against a prepared input.
     #[must_use]
     pub fn materialize(&self, i: usize, ifm: &PreparedIfm<'_>, weights: &Tensor) -> BlockProgram {
-        match &self.map {
-            MapImpl::Pwc(m) => m.materialize(i, &ifm.0, weights),
-            MapImpl::DwcS1(m) => m.materialize(i, &ifm.0, weights),
-            MapImpl::DwcGeneral(m) => m.materialize(i, &ifm.0, weights),
-            MapImpl::MatmulDwc(m) => m.materialize(i, &ifm.0, weights),
-            MapImpl::BatchedDwcS1(m) => m.materialize(i, &ifm.0, weights),
-        }
+        with_map!(self, m => m.materialize(i, &ifm.0, weights))
     }
 
     /// Timing-only report: identical cycle accounting to a functional run,
@@ -247,29 +268,30 @@ impl CompiledLayer {
         let mode = machine.integrity_mode();
         let prepared = self.prepare(ifm);
         let mut ofm = Tensor::zeros(self.layer.out_channels(), self.layer.out_h(), self.layer.out_w());
+        let mut verifier = (mode != IntegrityMode::Off).then(|| BlockVerifier::new(&self.layer, ifm, weights));
         let mut blocks: Vec<(u64, u64)> = Vec::with_capacity(self.num_blocks());
         let (mut checked, mut failed, mut recovered) = (0u64, 0u64, 0u64);
         for i in 0..self.num_blocks() {
             let prog = self.materialize(i, &prepared, weights);
             debug_assert_eq!(prog.compute_cycles(), self.block_compute_cycles(), "uniform block plan");
-            let mut res = machine.run_block(&prog)?;
-            if mode != IntegrityMode::Off {
-                checked += 1;
-                match integrity::verify_block(&self.layer, ifm, weights, &res.ofm) {
-                    Ok(()) => {}
-                    Err(v) => {
-                        failed += 1;
-                        if mode == IntegrityMode::Verify {
-                            return Err(SimError::new(self.layer.name(), i, 0, SimCause::IntegrityViolation(v)));
-                        }
-                        integrity::heal_block(&self.layer, ifm, weights, &mut res.ofm);
-                        recovered += 1;
-                    }
-                }
-            }
+            let res = machine.run_block(&prog)?;
             blocks.push((res.compute_cycles, res.dma_in_cycles + res.dma_out_cycles));
+            // Blocks own disjoint outputs, so the block can be checked (and
+            // healed) in place once its words are in the layer tensor.
             for (c, y, x, v) in res.ofm {
                 ofm.set(c, y, x, v);
+            }
+            if let Some(verifier) = verifier.as_mut() {
+                checked += 1;
+                let slots = self.block_slots(i);
+                if let Err(v) = verifier.verify(&slots, &ofm) {
+                    failed += 1;
+                    if mode == IntegrityMode::Verify {
+                        return Err(SimError::new(self.layer.name(), i, 0, SimCause::IntegrityViolation(v)));
+                    }
+                    verifier.heal(&slots, &mut ofm);
+                    recovered += 1;
+                }
             }
         }
         let mut report = self.report_from_blocks(&blocks);

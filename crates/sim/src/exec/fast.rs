@@ -8,23 +8,26 @@
 //! block's cycle charge comes from the closed-form latency model the
 //! mapping planned (`tiles × tile_latency` compute, [`DmaEngine`] transfer
 //! cycles for DMA, folded through the same double-buffered pipeline
-//! formula). `timing_report_matches_functional` in [`crate::compiled`] is
-//! the proof obligation that makes this exact: on a fault-free run the
+//! formula). Blocks are never materialized: a block is its data-free
+//! [`BlockSlots`] geometry over the one output tensor, which is all that
+//! fault landing and the ABFT check need.
+//! `timing_report_matches_functional` in [`crate::compiled`] is the proof
+//! obligation that makes this exact: on a fault-free run the
 //! cycle-accurate machine measures precisely the planned cycles.
 //!
 //! Chaos fidelity: an installed [`FaultPlan`] is replayed over the same
 //! `(run, tile, cycle)` lattice the cycle tier walks — structural draws
-//! corrupt one extracted OFM word (one bit, deterministically chosen from
-//! the site), temporal draws burn budget/wall time with the machine's exact
-//! stall/slowdown/wedge semantics — so ABFT detection, watchdog preemption
-//! and cycle-budget liveness all keep firing under the fast tier. What the
-//! fast tier does *not* model is microarchitectural fault propagation (a
+//! corrupt one of the block's output words (one bit, deterministically
+//! chosen from the site), temporal draws burn budget/wall time with the
+//! machine's exact stall/slowdown/wedge semantics — so ABFT detection,
+//! watchdog preemption and cycle-budget liveness all keep firing under the
+//! fast tier. What the fast tier does *not* model is microarchitectural fault propagation (a
 //! flipped input word corrupting several outputs, or a GRF trim tripping a
 //! hardware rule): every structural fault lands as a single-bit output
 //! corruption, which ABFT catches at least as often as the cycle tier's.
 
 use npcgra_arch::CgraSpec;
-use npcgra_kernels::BlockProgram;
+use npcgra_kernels::layout::BlockSlots;
 use npcgra_mem::dma::double_buffered_cycles_exact;
 use npcgra_mem::DmaEngine;
 use npcgra_nn::{truncate, Acc, ConvKind, ConvLayer, Tensor, Word};
@@ -33,7 +36,7 @@ use crate::cancel::CancelToken;
 use crate::compiled::CompiledLayer;
 use crate::error::{SimCause, SimError};
 use crate::fault::{FaultDims, FaultPlan, FaultSite, TemporalFault};
-use crate::integrity::{self, IntegrityMode, OfmEntry};
+use crate::integrity::{BlockVerifier, IntegrityMode};
 use crate::machine::check_liveness;
 use crate::report::LayerReport;
 
@@ -82,66 +85,67 @@ impl FastMachine {
         }
     }
 
-    /// Replay the fault plan over the block's `(tile, cycle)` lattice and
-    /// return the compute-cycle charge. Without a plan this is the pure
-    /// closed-form charge plus the budget gate.
-    fn charge_block(&mut self, prog: &BlockProgram, entries: &mut [OfmEntry]) -> Result<u64, SimError> {
-        let clean = prog.compute_cycles();
-        let Some(plan) = self.fault_plan.clone() else {
-            if let Some(budget) = self.cycle_budget {
+    /// Replay the fault plan over block `block`'s `(tile, cycle)` lattice of
+    /// `n_tiles × per_tile` and return the compute-cycle charge; structural
+    /// faults flip a bit of one of the block's outputs in `ofm`. Without a
+    /// plan this is the pure closed-form charge plus the budget gate.
+    fn charge_block(
+        &mut self,
+        compiled: &CompiledLayer,
+        block: usize,
+        (n_tiles, per_tile): (usize, u64),
+        ofm: &mut Tensor,
+    ) -> Result<u64, SimError> {
+        // Borrow the fields one by one so the plan is read in place while
+        // the counters advance.
+        let FastMachine {
+            spec,
+            fault_plan,
+            cancel,
+            cycle_budget,
+            runs,
+            faults_injected,
+            temporal_injected,
+            ..
+        } = self;
+        let Some(plan) = fault_plan.as_ref() else {
+            let clean = n_tiles as u64 * per_tile;
+            if let Some(budget) = *cycle_budget {
                 // The cycle tier checks the budget before each cycle with
                 // `spent` = cycles so far, so a clean run of C cycles sees
                 // checks at 0..C-1 and fails iff C-1 > budget. Locate the
                 // first failing check for the error's (tile, cycle) fields.
                 if clean > 0 && clean - 1 > budget {
                     let spent = budget + 1;
-                    let per_tile = prog.mapping.tile_latency().max(1);
-                    let tile = usize::try_from(spent / per_tile).unwrap_or(usize::MAX);
+                    let tile = usize::try_from(spent / per_tile.max(1)).unwrap_or(usize::MAX);
                     return Err(SimError::new(
-                        &prog.label,
-                        tile.min(prog.tiles.tiles().saturating_sub(1)),
-                        spent % per_tile,
+                        &compiled.block_label(block),
+                        tile.min(n_tiles.saturating_sub(1)),
+                        spent % per_tile.max(1),
                         SimCause::CycleBudgetExceeded { budget },
                     ));
                 }
             }
             return Ok(clean);
         };
-        let dims = FaultDims {
-            rows: self.spec.rows,
-            cols: self.spec.cols,
-            h_banks: self.spec.rows,
-            h_words: (self.spec.hmem_bytes / self.spec.word_bytes / self.spec.rows).max(1),
-            v_banks: self.spec.cols,
-            v_words: ({
-                let v_total = if self.spec.vmem_bytes == 0 {
-                    self.spec.hmem_bytes
-                } else {
-                    self.spec.vmem_bytes
-                };
-                v_total / self.spec.word_bytes / self.spec.cols
-            })
-            .max(1),
-        };
-        let n_tiles = prog.tiles.tiles();
-        let per_tile = prog.mapping.tile_latency();
+        let dims = fault_dims(spec);
         let mut compute = 0u64;
         for tile in 0..n_tiles {
             // Slowdown factors clear at the tile boundary, as on the
             // cycle tier.
             let mut slow_factor = 1u64;
             for cyc in 0..per_tile {
-                let err = |cause: SimCause| SimError::new(&prog.label, tile, cyc, cause);
-                check_liveness(self.cancel.as_ref(), self.cycle_budget, compute).map_err(err)?;
-                for site in plan.sites_at(self.runs, tile, cyc, &dims) {
+                let err = |cause: SimCause| SimError::new(&compiled.block_label(block), tile, cyc, cause);
+                check_liveness(cancel.as_ref(), *cycle_budget, compute).map_err(err)?;
+                for site in plan.sites_at(*runs, tile, cyc, &dims) {
                     match site {
                         FaultSite::Temporal(t) => {
-                            self.temporal_injected += 1;
+                            *temporal_injected += 1;
                             match t {
                                 TemporalFault::Stall { cycles } => {
                                     for burned in 0..cycles {
                                         compute += 1;
-                                        check_liveness(self.cancel.as_ref(), self.cycle_budget, compute).map_err(err)?;
+                                        check_liveness(cancel.as_ref(), *cycle_budget, compute).map_err(err)?;
                                         if burned % 1024 == 1023 {
                                             std::thread::yield_now();
                                         }
@@ -152,14 +156,14 @@ impl FastMachine {
                                 }
                                 TemporalFault::Wedge => loop {
                                     compute += 1;
-                                    check_liveness(self.cancel.as_ref(), self.cycle_budget, compute).map_err(err)?;
+                                    check_liveness(cancel.as_ref(), *cycle_budget, compute).map_err(err)?;
                                     std::thread::sleep(WEDGE_PACE);
                                 },
                             }
                         }
                         site => {
-                            if flip_entry(site, entries) {
-                                self.faults_injected += 1;
+                            if flip_output(site, &compiled.block_slots(block), ofm) {
+                                *faults_injected += 1;
                             }
                         }
                     }
@@ -168,6 +172,24 @@ impl FastMachine {
             }
         }
         Ok(compute)
+    }
+}
+
+/// The fault-address space of `spec`'s memories and array, as the cycle
+/// tier sees it.
+fn fault_dims(spec: &CgraSpec) -> FaultDims {
+    let v_total = if spec.vmem_bytes == 0 {
+        spec.hmem_bytes
+    } else {
+        spec.vmem_bytes
+    };
+    FaultDims {
+        rows: spec.rows,
+        cols: spec.cols,
+        h_banks: spec.rows,
+        h_words: (spec.hmem_bytes / spec.word_bytes / spec.rows).max(1),
+        v_banks: spec.cols,
+        v_words: (v_total / spec.word_bytes / spec.cols).max(1),
     }
 }
 
@@ -212,45 +234,36 @@ impl ExecutionBackend for FastMachine {
         assert_eq!(self.spec, *compiled.spec(), "machine/compiled-layer spec mismatch");
         let layer = compiled.layer();
         let mode = self.integrity;
-        // One functional pass produces every output the blocks will extract.
-        let golden = functional_ofm(layer, ifm, weights);
-        let prepared = compiled.prepare(ifm);
+        // One functional pass produces every output. The blocks then only
+        // charge cycles, land faults and check their own slice of it.
+        let mut ofm = functional_ofm(layer, ifm, weights);
+        let mut verifier = (mode != IntegrityMode::Off).then(|| BlockVerifier::new(layer, ifm, weights));
         let engine = DmaEngine::new(&self.spec);
         let dma_cycles =
             engine.transfer_cycles(compiled.block_input_words()) + engine.transfer_cycles(compiled.block_output_words());
-        let mut ofm = Tensor::zeros(layer.out_channels(), layer.out_h(), layer.out_w());
+        let lattice = (compiled.tiles_per_block(), compiled.tile_latency());
         let mut blocks: Vec<(u64, u64)> = Vec::with_capacity(compiled.num_blocks());
         let (mut checked, mut failed, mut recovered) = (0u64, 0u64, 0u64);
         for i in 0..compiled.num_blocks() {
-            let prog = compiled.materialize(i, &prepared, weights);
             self.runs += 1;
             // Block-boundary cancellation check, as on the cycle tier. A
             // fast-tier block runs in microseconds of wall time, so the
             // per-cycle cancellation granularity of the cycle tier adds
             // nothing here (temporal faults re-check per burned cycle).
-            check_liveness(self.cancel.as_ref(), None, 0).map_err(|cause| SimError::new(&prog.label, 0, 0, cause))?;
-            let mut entries: Vec<OfmEntry> = prog
-                .ofm_slots
-                .iter()
-                .map(|s| (s.c, s.y, s.x, golden.get(s.c, s.y, s.x)))
-                .collect();
-            let compute = self.charge_block(&prog, &mut entries)?;
-            if mode != IntegrityMode::Off {
+            check_liveness(self.cancel.as_ref(), None, 0)
+                .map_err(|cause| SimError::new(&compiled.block_label(i), 0, 0, cause))?;
+            let compute = self.charge_block(compiled, i, lattice, &mut ofm)?;
+            if let Some(verifier) = verifier.as_mut() {
                 checked += 1;
-                match integrity::verify_block(layer, ifm, weights, &entries) {
-                    Ok(()) => {}
-                    Err(v) => {
-                        failed += 1;
-                        if mode == IntegrityMode::Verify {
-                            return Err(SimError::new(layer.name(), i, 0, SimCause::IntegrityViolation(v)));
-                        }
-                        integrity::heal_block(layer, ifm, weights, &mut entries);
-                        recovered += 1;
+                let slots = compiled.block_slots(i);
+                if let Err(v) = verifier.verify(&slots, &ofm) {
+                    failed += 1;
+                    if mode == IntegrityMode::Verify {
+                        return Err(SimError::new(layer.name(), i, 0, SimCause::IntegrityViolation(v)));
                     }
+                    verifier.heal(&slots, &mut ofm);
+                    recovered += 1;
                 }
-            }
-            for &(c, y, x, v) in &entries {
-                ofm.set(c, y, x, v);
             }
             blocks.push((compute, dma_cycles));
         }
@@ -275,12 +288,13 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Land a structural fault site on the block's extracted outputs: flip one
-/// bit of one entry, both chosen as a pure function of the site. Returns
-/// whether anything changed (empty blocks absorb the fault, mirroring the
-/// cycle tier's flips into unloaded resources).
-fn flip_entry(site: FaultSite, entries: &mut [OfmEntry]) -> bool {
-    if entries.is_empty() {
+/// Land a structural fault site on the block's outputs: flip one bit of one
+/// output word, both chosen as a pure function of the site (the word is
+/// the `idx`-th of the block's slots, in slot order). Returns whether
+/// anything changed (empty blocks absorb the fault, mirroring the cycle
+/// tier's flips into unloaded resources).
+fn flip_output(site: FaultSite, slots: &BlockSlots, ofm: &mut Tensor) -> bool {
+    if slots.is_empty() {
         return false;
     }
     let (salt, a, b, bit) = match site {
@@ -292,8 +306,9 @@ fn flip_entry(site: FaultSite, entries: &mut [OfmEntry]) -> bool {
         FaultSite::Temporal(_) => return false,
     };
     let h = splitmix64(salt ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.rotate_left(32));
-    let idx = usize::try_from(h % entries.len() as u64).expect("index fits");
-    entries[idx].3 ^= (1 as Word) << (bit % Word::BITS);
+    let idx = usize::try_from(h % slots.len() as u64).expect("index fits");
+    let (c, y, x) = slots.slot(idx);
+    ofm.set(c, y, x, ofm.get(c, y, x) ^ (1 as Word) << (bit % Word::BITS));
     true
 }
 
@@ -533,6 +548,47 @@ mod tests {
         let err = fast.run_layer(&compiled, &ifm, &w).unwrap_err();
         assert!(matches!(err.cause, SimCause::IntegrityViolation(_)), "got {err}");
         assert!(fast.faults_injected() > 0);
+    }
+
+    #[test]
+    fn structural_faults_land_on_the_materialized_slot() {
+        // Every block takes the explicit fault; it must flip the word at the
+        // hashed index of the block's materialized `ofm_slots`.
+        let (site, salt, a, b, bit) = (
+            FaultSite::VBankBit {
+                bank: 2,
+                offset: 5,
+                bit: 9,
+            },
+            0x56u64,
+            2u64,
+            5u64,
+            9,
+        );
+        for (layer, kind) in [
+            (ConvLayer::pointwise("pw", 12, 10, 6, 7), MappingKind::Auto),
+            (ConvLayer::depthwise("dw.s1", 3, 11, 13, 3, 1, 1), MappingKind::Auto),
+            (ConvLayer::depthwise("dw.s2", 2, 12, 12, 3, 2, 1), MappingKind::Auto),
+            (ConvLayer::depthwise("dw.mm", 3, 7, 9, 3, 1, 1), MappingKind::MatmulDwc),
+            (ConvLayer::depthwise("dw.b", 9, 6, 6, 3, 1, 1), MappingKind::BatchedDwcS1),
+        ] {
+            let compiled = CompiledLayer::compile(&layer, &spec4(), kind).unwrap();
+            let ifm = Tensor::random(layer.in_channels(), layer.in_h(), layer.in_w(), 3);
+            let w = layer.random_weights(4);
+            let mut expected = functional_ofm(&layer, &ifm, &w);
+            let prepared = compiled.prepare(&ifm);
+            let h = splitmix64(salt ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.rotate_left(32));
+            for i in 0..compiled.num_blocks() {
+                let slots = compiled.materialize(i, &prepared, &w).ofm_slots;
+                let s = slots[usize::try_from(h % slots.len() as u64).unwrap()];
+                expected.set(s.c, s.y, s.x, expected.get(s.c, s.y, s.x) ^ (1 << bit));
+            }
+            let mut fast = FastMachine::new(&spec4());
+            fast.set_fault_plan(Some(FaultPlan::explicit(vec![Fault { tile: 0, cycle: 0, site }])));
+            let (ofm, _) = fast.run_layer(&compiled, &ifm, &w).unwrap();
+            assert_eq!(ofm, expected, "{}", layer.name());
+            assert_eq!(fast.faults_injected(), compiled.num_blocks() as u64);
+        }
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! The fault model ([`crate::fault`]) is explicit that data bit flips in
 //! H-MEM/V-MEM, the GRF and the PE accumulators corrupt block outputs
 //! *silently* — the memory layouts carry no redundancy. This module closes
-//! that hole on the host side: after each block run, the extracted OFM
+//! that hole on the host side: after each block run, the block's output
 //! words are checked against a checksum identity computed directly from
-//! the layer's inputs and weights, in O(output) extra host work.
+//! the layer's inputs and weights. Both execution tiers run the check
+//! through [`BlockVerifier`], which names a block by its data-free
+//! [`BlockSlots`] geometry and reads its words in place from the layer's
+//! output tensor; [`verify_block`] checks an arbitrary entry list against
+//! the same identities.
 //!
 //! The identities exploit that the whole datapath is *linear arithmetic
 //! mod 2¹⁶*: the 32-bit accumulator wraps, and [`truncate`] (the 16-bit
@@ -31,6 +35,7 @@
 //!
 //! [`truncate`]: npcgra_nn::truncate
 
+use npcgra_kernels::layout::BlockSlots;
 use npcgra_nn::{truncate, Acc, Activation, ConvKind, ConvLayer, Tensor, Word};
 
 /// One extracted output word: `(channel, y, x, value)`, exactly as
@@ -103,13 +108,261 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Verify one block's extracted outputs against the layer's checksum
-/// identity (or, for activated layers, an exact per-element recompute).
+/// Per-run ABFT verifier for blocks described by their data-free
+/// [`BlockSlots`] geometry: the check both execution tiers run after every
+/// block, reading the block's words straight out of the layer's output
+/// tensor.
+///
+/// Built once per layer run from that run's inputs. Each block check then
+/// touches only the block's own outputs plus a few input-side sums:
+///
+/// * **Pointwise**: a block is one image row × a pixel range × an output
+///   channel range. The row checksums need `Σ_p ifm(i,p)` over the range
+///   and the column checksums `Σ_o w(o,i)` over the channels — contiguous
+///   slices of the CHW `ifm` and the `(N_o, 1, N_i)` weights.
+/// * **Depthwise**: the positions one kernel tap `(ky, kx)` touches across
+///   an output rectangle form a stride-`s` lattice rectangle of the padded
+///   input. Summing the input rows kernel row `ky` reads into one vector of
+///   column sums (contiguous slice adds) leaves each of the row's `K` taps
+///   a strided sum over that vector. So a block costs about `K` passes over
+///   the input rows it reads plus one over its outputs per channel, not
+///   `K²` input reads per output word.
+///
+/// Sums regrouped this way stay exact in wrapping 16-bit arithmetic, so the
+/// checks return exactly what [`verify_block`] returns on the same words
+/// listed as entries: same identities, same lanes, same first failure.
+pub struct BlockVerifier<'a> {
+    layer: &'a ConvLayer,
+    ifm: &'a Tensor,
+    weights: &'a Tensor,
+    /// Depthwise scratch: per-column input sums over the rows one kernel
+    /// row reads (`(N_w − 1)·s + K`), and that kernel row's tap sums (`K`).
+    col_sums: Vec<Word>,
+    tap_sums: Vec<Word>,
+    /// Pointwise scratch: per-input-channel pixel sums and weight column
+    /// sums (`N_i` each), per-pixel column checksums of one image row.
+    in_sums: Vec<Word>,
+    w_sums: Vec<Word>,
+    col_expected: Vec<Word>,
+    col_actual: Vec<Word>,
+}
+
+impl<'a> BlockVerifier<'a> {
+    /// Set up verification of one run of `layer` on `ifm` (raw, unpadded)
+    /// and `weights`.
+    #[must_use]
+    pub fn new(layer: &'a ConvLayer, ifm: &'a Tensor, weights: &'a Tensor) -> Self {
+        let (ni, nw, k) = match layer.kind() {
+            ConvKind::Pointwise => (layer.in_channels(), layer.out_w(), 0),
+            ConvKind::Depthwise => (0, 0, layer.k()),
+            ConvKind::Standard => (0, 0, 0),
+        };
+        let span = if k == 0 { 0 } else { (layer.out_w() - 1) * layer.s() + k };
+        BlockVerifier {
+            layer,
+            ifm,
+            weights,
+            col_sums: vec![0; span],
+            tap_sums: vec![0; k],
+            in_sums: vec![0; ni],
+            w_sums: vec![0; ni],
+            col_expected: vec![0; nw],
+            col_actual: vec![0; nw],
+        }
+    }
+
+    /// Verify the block whose outputs `slots` describes, reading its words
+    /// from the layer-shaped `ofm`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`Violation`], exactly as [`verify_block`] would
+    /// on the block's `(c, y, x, ofm(c, y, x))` entries in slot order.
+    pub fn verify(&mut self, slots: &BlockSlots, ofm: &Tensor) -> Result<(), Violation> {
+        let linear = self.layer.activation() == Activation::None;
+        match self.layer.kind() {
+            ConvKind::Depthwise if linear => self.verify_depthwise(slots, ofm),
+            ConvKind::Pointwise if linear => self.verify_pointwise(slots, ofm),
+            _ => verify_elements(
+                self.layer,
+                self.ifm,
+                self.weights,
+                slots.iter().map(|(c, y, x)| (c, y, x, ofm.get(c, y, x))),
+            ),
+        }
+    }
+
+    /// Recompute every output of the block on the host (golden arithmetic)
+    /// and patch `ofm` in place — the recovery half of
+    /// [`IntegrityMode::VerifyAndRecompute`].
+    pub fn heal(&self, slots: &BlockSlots, ofm: &mut Tensor) {
+        for (c, y, x) in slots.iter() {
+            ofm.set(c, y, x, golden_element(self.layer, self.ifm, self.weights, c, y, x));
+        }
+    }
+
+    /// Depthwise: per-channel output sums against
+    /// `Σ out_c = Σ_taps w_c[k] · Σ ifm_c over the positions tap k touches`.
+    fn verify_depthwise(&mut self, slots: &BlockSlots, ofm: &Tensor) -> Result<(), Violation> {
+        let BlockVerifier {
+            layer,
+            ifm,
+            weights,
+            col_sums,
+            tap_sums,
+            ..
+        } = self;
+        let (k, s, pad) = (layer.k(), layer.s(), layer.pad());
+        let (_, ih, iw) = ifm.shape();
+        let (_, oh, ow) = ofm.shape();
+        let (x, w, out) = (ifm.as_slice(), weights.as_slice(), ofm.as_slice());
+        for c in slots.channels() {
+            let plane = &x[c * ih * iw..][..ih * iw];
+            let out_plane = &out[c * oh * ow..][..oh * ow];
+            let kernel = &w[c * k * k..][..k * k];
+            let (mut expected, mut actual): (Word, Word) = (0, 0);
+            for r in slots.rects() {
+                for y in r.y0..r.y1 {
+                    actual = wrapping_sum(actual, &out_plane[y * ow + r.x0..y * ow + r.x1]);
+                }
+                // The padded input columns px0 .. px0 + span the taps read
+                // for this rectangle, and the part of them inside the input.
+                let cols = r.x1 - r.x0;
+                let (px0, span) = (r.x0 * s, (cols - 1) * s + k);
+                let (lo, hi) = (pad.saturating_sub(px0), (iw + pad).saturating_sub(px0).min(span));
+                for (ky, wrow) in kernel.chunks_exact(k).enumerate() {
+                    // A kernel row whose rows all fall in the padding adds
+                    // nothing.
+                    if lo >= hi || (r.y1 - 1) * s + ky < pad || r.y0 * s + ky >= ih + pad {
+                        continue;
+                    }
+                    // Column sums over the input rows kernel row `ky` reads.
+                    let col_sums = &mut col_sums[..span];
+                    col_sums.fill(0);
+                    for oy in r.y0..r.y1 {
+                        let Some(iy) = (oy * s + ky).checked_sub(pad).filter(|&iy| iy < ih) else {
+                            continue;
+                        };
+                        let row = &plane[iy * iw + px0 + lo - pad..][..hi - lo];
+                        for (a, &v) in col_sums[lo..hi].iter_mut().zip(row) {
+                            *a = a.wrapping_add(v);
+                        }
+                    }
+                    // Tap `kx` sums col_sums[kx + j·s] over the `cols` output
+                    // columns; tap `kx + s` is the same window one step on.
+                    let tap_sums = &mut tap_sums[..k];
+                    for kx in 0..k {
+                        let t = if kx < s {
+                            let mut t: Word = 0;
+                            let mut j = kx;
+                            for _ in 0..cols {
+                                t = t.wrapping_add(col_sums[j]);
+                                j += s;
+                            }
+                            t
+                        } else {
+                            tap_sums[kx - s]
+                                .wrapping_sub(col_sums[kx - s])
+                                .wrapping_add(col_sums[kx - s + cols * s])
+                        };
+                        tap_sums[kx] = t;
+                        expected = expected.wrapping_add(wrow[kx].wrapping_mul(t));
+                    }
+                }
+            }
+            first_mismatch(CheckKind::ChannelSum, std::iter::once((c, expected, actual)))?;
+        }
+        Ok(())
+    }
+
+    /// Pointwise: Huang–Abraham row checksums (per output channel,
+    /// localizing to a channel), then column checksums (per pixel,
+    /// localizing to a pixel), each in ascending lane order.
+    fn verify_pointwise(&mut self, slots: &BlockSlots, ofm: &Tensor) -> Result<(), Violation> {
+        let BlockVerifier {
+            layer,
+            ifm,
+            weights,
+            in_sums,
+            w_sums,
+            col_expected,
+            col_actual,
+            ..
+        } = self;
+        let (x, w, out) = (ifm.as_slice(), weights.as_slice(), ofm.as_slice());
+        let ni = layer.in_channels();
+        let rows = || slots.rects().iter().flat_map(|r| (r.y0..r.y1).map(move |y| (y, r.x0, r.x1)));
+
+        // Row checksums: Σ_p out(o,p) = Σ_i w(o,i) · Σ_p ifm(i,p).
+        for (i, sum) in in_sums.iter_mut().enumerate() {
+            *sum = rows().fold(0, |acc, (y, x0, x1)| wrapping_sum(acc, &x[ifm.index(i, y, x0)..][..x1 - x0]));
+        }
+        first_mismatch(
+            CheckKind::RowChecksum,
+            slots.channels().map(|o| {
+                let wrow = &w[weights.index(o, 0, 0)..][..ni];
+                let expected = wrow
+                    .iter()
+                    .zip(in_sums.iter())
+                    .fold(0 as Word, |acc, (&wv, &sv)| acc.wrapping_add(wv.wrapping_mul(sv)));
+                let actual = rows().fold(0, |acc, (y, x0, x1)| {
+                    wrapping_sum(acc, &out[ofm.index(o, y, x0)..][..x1 - x0])
+                });
+                (o, expected, actual)
+            }),
+        )?;
+
+        // Column checksums: Σ_o out(o,p) = Σ_i (Σ_o w(o,i)) · ifm(i,p),
+        // one image row segment at a time.
+        w_sums.fill(0);
+        for o in slots.channels() {
+            for (ws, &wv) in w_sums.iter_mut().zip(&w[weights.index(o, 0, 0)..][..ni]) {
+                *ws = ws.wrapping_add(wv);
+            }
+        }
+        for (y, x0, x1) in rows() {
+            let n = x1 - x0;
+            let (expected, actual) = (&mut col_expected[..n], &mut col_actual[..n]);
+            expected.fill(0);
+            actual.fill(0);
+            for (i, &ws) in w_sums.iter().enumerate() {
+                for (e, &xv) in expected.iter_mut().zip(&x[ifm.index(i, y, x0)..][..n]) {
+                    *e = e.wrapping_add(ws.wrapping_mul(xv));
+                }
+            }
+            for o in slots.channels() {
+                for (a, &v) in actual.iter_mut().zip(&out[ofm.index(o, y, x0)..][..n]) {
+                    *a = a.wrapping_add(v);
+                }
+            }
+            let lane0 = y * ofm.width() + x0;
+            first_mismatch(
+                CheckKind::ColumnChecksum,
+                expected
+                    .iter()
+                    .zip(actual.iter())
+                    .enumerate()
+                    .map(|(j, (&e, &a))| (lane0 + j, e, a)),
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Verify an arbitrary list of extracted output words against the layer's
+/// checksum identities (or, for activated layers, an exact per-element
+/// recompute).
 ///
 /// `ifm` is the layer's *raw* input (zero padding is applied here, exactly
-/// as the golden reference does); `entries` are the block's OFM words as
-/// the machine extracted them. The check costs O(`entries`) host work
-/// (times the constant kernel size for depthwise).
+/// as the golden reference does). `entries` may be any subset of the OFM,
+/// in any order, even with repeats; the identities distribute over
+/// entries, so each entry adds its own predicted word to its lanes'
+/// expected sums. The lanes are then checked in the same order as
+/// [`BlockVerifier::verify`] checks them: channels ascending (depthwise),
+/// or output channels ascending and then pixels ascending (pointwise).
+/// The execution tiers verify whole blocks through [`BlockVerifier`],
+/// which is much cheaper; this entry point serves partial or hand-built
+/// lists.
 ///
 /// # Errors
 ///
@@ -117,58 +370,42 @@ impl std::fmt::Display for Violation {
 /// 2¹⁶, so a violation is always real corruption; a passing check bounds
 /// undetected corruption to errors that cancel in every checksum.
 pub fn verify_block(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    if entries.is_empty() {
-        return Ok(());
+    let kind = layer.kind();
+    if layer.activation() != Activation::None || kind == ConvKind::Standard {
+        // Activated layers are not linear; standard convolution never
+        // reaches the block path directly (it is lowered through im2col),
+        // but stay total for robustness.
+        return verify_elements(layer, ifm, weights, entries.iter().copied());
     }
-    if layer.activation() != Activation::None {
-        return verify_elements(layer, ifm, weights, entries);
-    }
-    match layer.kind() {
-        ConvKind::Depthwise => verify_depthwise(layer, ifm, weights, entries),
-        ConvKind::Pointwise => verify_pointwise(layer, ifm, weights, entries),
-        // Standard convolution never reaches the block path directly (it is
-        // lowered through im2col), but stay total for robustness.
-        ConvKind::Standard => verify_elements(layer, ifm, weights, entries),
-    }
-}
-
-/// Recompute every entry of a failed block on the host (golden arithmetic)
-/// and patch the extracted words in place — the recovery half of
-/// [`IntegrityMode::VerifyAndRecompute`].
-pub fn heal_block(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &mut [OfmEntry]) {
-    for e in entries.iter_mut() {
-        e.3 = golden_element(layer, ifm, weights, e.0, e.1, e.2);
-    }
-}
-
-/// Depthwise: per-channel output sums against
-/// `Σ out_c = Σ_taps w_c[k] · Σ ifm_c over the positions tap k touches`.
-fn verify_depthwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    let (k, s) = (layer.k(), layer.s());
-    let pad = layer.pad() as isize;
-    let mut by_channel: std::collections::BTreeMap<usize, (Vec<(usize, usize)>, Word)> = std::collections::BTreeMap::new();
+    // Per-lane (expected, actual) sums: channels, and pointwise pixels. By
+    // the linear identities an entry's predicted word is its golden value.
+    let w = layer.out_w();
+    let mut channels = vec![(0 as Word, 0 as Word); layer.out_channels()];
+    let mut pixels = vec![(0 as Word, 0 as Word); if kind == ConvKind::Pointwise { layer.out_h() * w } else { 0 }];
+    let add = |lane: &mut (Word, Word), e: Word, v: Word| *lane = (lane.0.wrapping_add(e), lane.1.wrapping_add(v));
     for &(c, y, x, v) in entries {
-        let slot = by_channel.entry(c).or_default();
-        slot.0.push((y, x));
-        slot.1 = slot.1.wrapping_add(v);
-    }
-    for (c, (positions, actual)) in by_channel {
-        let mut expected: Word = 0;
-        for ky in 0..k {
-            for kx in 0..k {
-                let mut tap_sum: Word = 0;
-                for &(oy, ox) in &positions {
-                    let iy = (oy * s + ky) as isize - pad;
-                    let ix = (ox * s + kx) as isize - pad;
-                    tap_sum = tap_sum.wrapping_add(ifm.get_padded(c, iy, ix));
-                }
-                expected = expected.wrapping_add(weights.get(c, ky, kx).wrapping_mul(tap_sum));
-            }
+        let e = golden_element(layer, ifm, weights, c, y, x);
+        add(&mut channels[c], e, v);
+        if let Some(pixel) = pixels.get_mut(y * w + x) {
+            add(pixel, e, v);
         }
+    }
+    let lanes = |sums: Vec<(Word, Word)>| sums.into_iter().enumerate().map(|(lane, (e, a))| (lane, e, a));
+    if kind == ConvKind::Depthwise {
+        return first_mismatch(CheckKind::ChannelSum, lanes(channels));
+    }
+    first_mismatch(CheckKind::RowChecksum, lanes(channels))?;
+    first_mismatch(CheckKind::ColumnChecksum, lanes(pixels))
+}
+
+/// The first `(lane, expected, actual)` that disagrees, as a violation of
+/// `kind`.
+fn first_mismatch(kind: CheckKind, lanes: impl Iterator<Item = (usize, Word, Word)>) -> Result<(), Violation> {
+    for (lane, expected, actual) in lanes {
         if expected != actual {
             return Err(Violation {
-                kind: CheckKind::ChannelSum,
-                lane: c,
+                kind,
+                lane,
                 expected,
                 actual,
             });
@@ -177,87 +414,20 @@ fn verify_depthwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: 
     Ok(())
 }
 
-/// Pointwise: Huang–Abraham row checksums (per output channel, localizing
-/// to a channel) and column checksums (per pixel, localizing to a pixel).
-///
-/// Input-side sums are memoized per distinct pixel/channel *set*, so a
-/// rectangular block pays each input word once, not once per output row.
-fn verify_pointwise(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    use std::collections::BTreeMap;
-    let n_i = layer.in_channels();
-
-    // Row checksums: per output channel over its pixel set.
-    let mut by_out: BTreeMap<usize, (Vec<(usize, usize)>, Word)> = BTreeMap::new();
-    for &(o, y, x, v) in entries {
-        let slot = by_out.entry(o).or_default();
-        slot.0.push((y, x));
-        slot.1 = slot.1.wrapping_add(v);
-    }
-    // Per-input-channel pixel sums, memoized by pixel set (blocks are
-    // rectangular, so usually one distinct set).
-    let mut pixel_sums: BTreeMap<Vec<(usize, usize)>, Vec<Word>> = BTreeMap::new();
-    for (o, (mut pixels, actual)) in by_out {
-        pixels.sort_unstable();
-        let sums = pixel_sums.entry(pixels).or_insert_with_key(|pixels| {
-            (0..n_i)
-                .map(|i| {
-                    pixels
-                        .iter()
-                        .fold(0 as Word, |acc, &(y, x)| acc.wrapping_add(ifm.get(i, y, x)))
-                })
-                .collect()
-        });
-        let mut expected: Word = 0;
-        for (i, &sum) in sums.iter().enumerate() {
-            expected = expected.wrapping_add(weights.get(o, 0, i).wrapping_mul(sum));
-        }
-        if expected != actual {
-            return Err(Violation {
-                kind: CheckKind::RowChecksum,
-                lane: o,
-                expected,
-                actual,
-            });
-        }
-    }
-
-    // Column checksums: per pixel over its output-channel set.
-    let mut by_pixel: BTreeMap<(usize, usize), (Vec<usize>, Word)> = BTreeMap::new();
-    for &(o, y, x, v) in entries {
-        let slot = by_pixel.entry((y, x)).or_default();
-        slot.0.push(o);
-        slot.1 = slot.1.wrapping_add(v);
-    }
-    // Weight column sums, memoized by output-channel set.
-    let mut col_weights: BTreeMap<Vec<usize>, Vec<Word>> = BTreeMap::new();
-    for ((y, x), (mut outs, actual)) in by_pixel {
-        outs.sort_unstable();
-        let cols = col_weights.entry(outs).or_insert_with_key(|outs| {
-            (0..n_i)
-                .map(|i| outs.iter().fold(0 as Word, |acc, &o| acc.wrapping_add(weights.get(o, 0, i))))
-                .collect()
-        });
-        let mut expected: Word = 0;
-        for (i, &wsum) in cols.iter().enumerate() {
-            expected = expected.wrapping_add(wsum.wrapping_mul(ifm.get(i, y, x)));
-        }
-        if expected != actual {
-            return Err(Violation {
-                kind: CheckKind::ColumnChecksum,
-                lane: y * layer.out_w() + x,
-                expected,
-                actual,
-            });
-        }
-    }
-    Ok(())
+fn wrapping_sum(acc: Word, words: &[Word]) -> Word {
+    words.iter().fold(acc, |a, &v| a.wrapping_add(v))
 }
 
 /// Exact per-element golden recompute of the block's own outputs — the
 /// fallback for activated (non-linear) layers, where the checksum
 /// identities do not hold.
-fn verify_elements(layer: &ConvLayer, ifm: &Tensor, weights: &Tensor, entries: &[OfmEntry]) -> Result<(), Violation> {
-    for &(c, y, x, v) in entries {
+fn verify_elements(
+    layer: &ConvLayer,
+    ifm: &Tensor,
+    weights: &Tensor,
+    entries: impl Iterator<Item = OfmEntry>,
+) -> Result<(), Violation> {
+    for (c, y, x, v) in entries {
         let expected = golden_element(layer, ifm, weights, c, y, x);
         if expected != v {
             return Err(Violation {
@@ -346,6 +516,7 @@ pub fn tensor_checksum(t: &Tensor) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use npcgra_kernels::layout::{PixelRect, SlotOrder};
     use npcgra_nn::reference;
 
     /// Turn a golden OFM tensor into the entry list a block would extract.
@@ -444,18 +615,36 @@ mod tests {
         assert_eq!(v.kind, CheckKind::Element);
     }
 
+    /// The whole output plane of `ofm` as one block.
+    fn whole(ofm: &Tensor) -> BlockSlots {
+        let (c, h, w) = ofm.shape();
+        BlockSlots::rect(
+            0..c,
+            PixelRect {
+                y0: 0,
+                y1: h,
+                x0: 0,
+                x1: w,
+            },
+            SlotOrder::ChannelMajor,
+        )
+    }
+
     #[test]
     fn heal_restores_golden_values() {
         for layer in layers() {
             let ifm = Tensor::random(layer.in_channels(), layer.in_h(), layer.in_w(), 21);
             let w = layer.random_weights(22);
             let golden = reference::run_layer(&layer, &ifm, &w).unwrap();
-            let mut entries = entries_of(&golden);
-            entries[0].3 ^= 0x40;
-            entries[5].3 = entries[5].3.wrapping_sub(3);
-            heal_block(&layer, &ifm, &w, &mut entries);
-            assert_eq!(entries, entries_of(&golden), "{}", layer.name());
-            verify_block(&layer, &ifm, &w, &entries).unwrap();
+            let mut ofm = golden.clone();
+            ofm.set(0, 0, 0, ofm.get(0, 0, 0) ^ 0x40);
+            ofm.set(0, 1, 1, ofm.get(0, 1, 1).wrapping_sub(3));
+            let slots = whole(&golden);
+            let mut verifier = BlockVerifier::new(&layer, &ifm, &w);
+            verifier.verify(&slots, &ofm).expect_err(layer.name());
+            verifier.heal(&slots, &mut ofm);
+            assert_eq!(ofm, golden, "{}", layer.name());
+            verifier.verify(&slots, &ofm).unwrap();
         }
     }
 

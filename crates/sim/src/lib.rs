@@ -37,7 +37,7 @@ pub use compiled::{CompiledLayer, PreparedIfm, ResolvedMapping};
 pub use error::{SimCause, SimError};
 pub use exec::{backend_for, functional_ofm, BackendTier, ExecutionBackend, FastMachine};
 pub use fault::{Fault, FaultDims, FaultPlan, FaultSite, GrayRates, TemporalFault};
-pub use integrity::{tensor_checksum, CheckKind, IntegrityMode, Violation};
+pub use integrity::{tensor_checksum, BlockVerifier, CheckKind, IntegrityMode, Violation};
 pub use layer::{
     estimate_layer_energy, run_batched_dwc, run_layer, run_layer_parallel, run_matmul_dwc, run_standard_via_im2col, time_layer,
     time_layer_single_buffered, MappingKind,

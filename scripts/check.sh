@@ -44,6 +44,11 @@ for b in table1 table3 table5 table6 fig12 fig_schedules fig_layouts \
   cargo run --release -q -p npcgra-eval --bin "$b" >/dev/null
 done
 
+echo "== benchmark unit tests and traced serve-fast smoke (bit-exact replies, tier cycle parity) =="
+cargo test --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload serve-fast --seconds 5 --trace 1 >/dev/null
+
 echo "== serve-bench smoke run (both tiers + wire path + journal cost, archived to BENCH_serve.json) =="
 cargo run --release -q -p npcgra-cli -- serve-bench \
   --machine 4x4 --workers 4 --clients 8 --requests 80 \
